@@ -71,11 +71,13 @@ bench:
 bench-diff:
 	$(GO) run ./cmd/bench -compare BENCH_engine.json
 
-# One-iteration serving-path smoke run: catches regressions that compile
-# but explode allocations (also the CI benchmark smoke job, which
-# additionally runs bench-diff against the committed baseline).
+# One-iteration serving-path and CMDN-training smoke run: catches
+# regressions that compile but explode allocations (also the CI benchmark
+# smoke job, which additionally runs bench-diff against the committed
+# baseline).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'SessionConcurrent|SessionSharedCache|SessionCoalesced|OracleMux|StreamingIngest|FollowDeltas|EQLScript' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'ModelFit' -benchtime 1x -benchmem ./internal/nn/
 
 # Live-camera smoke run: replay a bounded feed through the streaming
 # ingestor with a continuous top-K follower and print the answer deltas

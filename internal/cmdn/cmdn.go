@@ -67,7 +67,7 @@ type Config struct {
 	Arch Arch
 	// Grid is the hyperparameter grid; nil means PaperGrid().
 	Grid []Hyper
-	// Epochs per candidate model; zero means 15.
+	// Epochs per candidate model; zero means 35.
 	Epochs int
 	// LearningRate for Adam; zero means 5e-3.
 	LearningRate float64

@@ -23,18 +23,27 @@ func NewAdam(params []*Param, lr float64) *Adam {
 }
 
 // Step applies one update from the accumulated gradients and clears them.
+// The update is the textbook one, element by element and in the same
+// operation order; only loop-invariant values are hoisted and the gradient
+// is cleared in the same pass. The bias corrections c1 and c2 stay
+// divisors: multiplying by their reciprocals would round differently.
 func (a *Adam) Step() {
 	a.t++
 	c1 := 1 - math.Pow(a.beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.beta2, float64(a.t))
+	b1, b2, lr, eps := a.beta1, a.beta2, a.lr, a.eps
+	ob1, ob2 := 1-b1, 1-b2
 	for i, p := range a.params {
-		for j, g := range p.G {
-			a.m[i][j] = a.beta1*a.m[i][j] + (1-a.beta1)*g
-			a.v[i][j] = a.beta2*a.v[i][j] + (1-a.beta2)*g*g
-			mhat := a.m[i][j] / c1
-			vhat := a.v[i][j] / c2
-			p.W[j] -= a.lr * mhat / (math.Sqrt(vhat) + a.eps)
+		w := p.W
+		g, m, v := p.G[:len(w)], a.m[i][:len(w)], a.v[i][:len(w)]
+		for j, gj := range g {
+			mj := b1*m[j] + ob1*gj
+			vj := b2*v[j] + ob2*gj*gj
+			m[j], v[j] = mj, vj
+			mhat := mj / c1
+			vhat := vj / c2
+			w[j] -= lr * mhat / (math.Sqrt(vhat) + eps)
+			g[j] = 0
 		}
-		p.ZeroGrad()
 	}
 }

@@ -35,14 +35,29 @@ func TestTrainStepAllocationFree(t *testing.T) {
 	for i := range x {
 		x[i] = float64(i) * 0.1
 	}
+	opt := NewAdam(m.params(), 5e-3)
+	// The exact per-sample step of Model.fit, with an optimizer step per
+	// sample: the first layer's backward accumulates parameter gradients
+	// only.
 	step := func() {
 		feat := m.Backbone.Forward(x)
 		m.Head.Forward(feat)
+		m.Head.NLL(0.5)
 		gradFeat := m.Head.Backward(0.5)
-		m.Backbone.Backward(gradFeat)
+		backwardParams(m.Backbone, gradFeat)
+		opt.Step()
 	}
 	step() // warm up scratch
 	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Fatalf("training step allocates %v objects per call, want 0", allocs)
+	}
+	// The full backward pass, input gradient included, stays free too.
+	full := func() {
+		m.Head.Forward(m.Backbone.Forward(x))
+		m.Backbone.Backward(m.Head.Backward(0.5))
+	}
+	full()
+	if allocs := testing.AllocsPerRun(100, full); allocs != 0 {
 		t.Fatalf("forward/backward allocates %v objects per call, want 0", allocs)
 	}
 }

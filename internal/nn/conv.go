@@ -78,7 +78,19 @@ func (c *Conv2D) Forward(x []float64) []float64 {
 // Backward implements Layer.
 func (c *Conv2D) Backward(grad []float64) []float64 {
 	c.din = zeroed(c.din, c.inSize())
-	din := c.din
+	c.backward(grad, c.din)
+	return c.din
+}
+
+// backwardParams accumulates the parameter gradients only. A model's
+// first layer uses it: nothing reads the gradient of the model input.
+func (c *Conv2D) backwardParams(grad []float64) { c.backward(grad, nil) }
+
+// backward accumulates the parameter gradients for the output gradient
+// grad and, when din is non-nil, adds dLoss/dInput into din. Outputs with
+// a ±0 gradient are skipped, bit-identically, by the argument on
+// Dense.backward.
+func (c *Conv2D) backward(grad, din []float64) {
 	pad := c.k / 2
 	for oc := 0; oc < c.outC; oc++ {
 		for y := 0; y < c.inH; y++ {
@@ -102,14 +114,15 @@ func (c *Conv2D) Backward(grad []float64) []float64 {
 							wi := ((oc*c.inC+ic)*c.k+dy)*c.k + dx
 							xi := (ic*c.inH+sy)*c.inW + sx
 							c.w.G[wi] += g * c.x[xi]
-							din[xi] += g * c.w.W[wi]
+							if din != nil {
+								din[xi] += g * c.w.W[wi]
+							}
 						}
 					}
 				}
 			}
 		}
 	}
-	return din
 }
 
 // Params implements Layer.

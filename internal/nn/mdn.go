@@ -94,7 +94,11 @@ func (m *MDN) Params() []*Param { return m.dense.Params() }
 // returned Mixture is owned by the head and valid until the next Forward;
 // callers that retain it must copy.
 func (m *MDN) Forward(feat []float64) uncertain.Mixture {
-	raw := m.dense.Forward(feat)
+	return m.mixture(m.dense.Forward(feat))
+}
+
+// mixture maps the dense layer's raw output (α, μ, s) to the mixture.
+func (m *MDN) mixture(raw []float64) uncertain.Mixture {
 	g := m.g
 	alpha, muRaw, sRaw := raw[:g], raw[g:2*g], raw[2*g:]
 
@@ -139,6 +143,12 @@ func (m *MDN) NLL(y float64) float64 {
 // Backward accumulates gradients of the NLL at target y (for the sample
 // last passed to Forward) and returns dLoss/dFeatures.
 func (m *MDN) Backward(y float64) []float64 {
+	return m.dense.Backward(m.rawGrad(y))
+}
+
+// rawGrad returns dLoss/d(raw dense output) of the NLL at target y for
+// the sample last passed to Forward.
+func (m *MDN) rawGrad(y float64) []float64 {
 	g := m.g
 	// Responsibilities γ_j = π_j N_j / Σ π N (computed stably).
 	logNs := m.lp
@@ -173,5 +183,5 @@ func (m *MDN) Backward(y float64) []float64 {
 		}
 		grad[2*g+j] = ds
 	}
-	return m.dense.Backward(grad)
+	return grad
 }

@@ -97,7 +97,12 @@ func (m *Model) Fit(xs [][]float64, ys []float64, cfg TrainConfig) (float64, err
 		return 0, fmt.Errorf("nn: empty training set")
 	}
 	cfg = cfg.withDefaults()
-	opt := NewAdam(m.params(), cfg.LearningRate)
+	return m.fit(xs, ys, cfg, NewAdam(m.params(), cfg.LearningRate)), nil
+}
+
+// fit is Fit's training loop over a validated, defaulted configuration,
+// stepping opt, which must be built over m.params().
+func (m *Model) fit(xs [][]float64, ys []float64, cfg TrainConfig, opt *Adam) float64 {
 	r := xrand.New(cfg.Seed).Split("nn/fit")
 	var last float64
 	for ep := 0; ep < cfg.Epochs; ep++ {
@@ -113,7 +118,7 @@ func (m *Model) Fit(xs [][]float64, ys []float64, cfg TrainConfig) (float64, err
 			total += m.Head.NLL(ys[i])
 			gradFeat := m.Head.Backward(ys[i])
 			if m.Backbone != nil {
-				m.Backbone.Backward(gradFeat)
+				backwardParams(m.Backbone, gradFeat)
 			}
 			inBatch++
 			if inBatch == cfg.BatchSize {
@@ -126,7 +131,7 @@ func (m *Model) Fit(xs [][]float64, ys []float64, cfg TrainConfig) (float64, err
 		}
 		last = total / float64(len(xs))
 	}
-	return last, nil
+	return last
 }
 
 // MeanNLL evaluates the mean NLL on a holdout set — the model-selection
